@@ -40,6 +40,8 @@ travel in the serialized heap.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
@@ -94,7 +96,11 @@ class FaultInjector:
         self.reassign_drops = 0
         #: (label, t_ns) log of applied events, in application order
         self.applied_log: list[tuple[str, int]] = []
-        self._kernel = None
+        #: weak back-reference to the bound kernel, which owns this
+        #: injector: a strong one would make each finished faulted run
+        #: a reference cycle, its workload and state freed only when
+        #: the cyclic collector next runs
+        self._kernel_ref: weakref.ref | None = None
         self._bound = False
 
     # ------------------------------------------------------------------
@@ -102,8 +108,12 @@ class FaultInjector:
         # the kernel back-reference would drag the workload and config
         # into every checkpoint; resume re-establishes it via bind()
         state = dict(self.__dict__)
-        state["_kernel"] = None
+        state["_kernel_ref"] = None
         return state
+
+    @property
+    def _kernel(self):
+        return None if self._kernel_ref is None else self._kernel_ref()
 
     # ------------------------------------------------------------------
     def bind(self, kernel, *, schedule_events: bool = True) -> None:
@@ -118,7 +128,7 @@ class FaultInjector:
         self.schedule.validate_platform(
             kernel.config.num_cores, len(kernel.config.services)
         )
-        self._kernel = kernel
+        self._kernel_ref = weakref.ref(kernel)
         self._bound = True
         if schedule_events:
             for ev in self.schedule.platform_events():

@@ -35,7 +35,11 @@ Two properties are preserved from the original monolithic loop:
   plans a ``core_of`` column for the window suffix in one vector call
   and the arrival loop consumes it instead of calling ``select_core``
   per packet, re-planning whenever the scheduler's ``map_epoch`` shows
-  a table mutation (see ``docs/performance.md``);
+  a table mutation (see ``docs/performance.md``).  Every replan throws
+  the rest of the column away, so a scheduler whose tables move per
+  flow (flowlet, Flow Director) keeps no plan and runs ``select_core``
+  per packet, like fcfs and topk; ``plan_calls`` / ``plan_rows`` in
+  :attr:`SimKernel.span_stats` count the planning work;
 * **determinism** — advancing in any sequence of ``run_until`` horizons
   produces bit-identical results to one uninterrupted ``run()``,
   because events are popped in the same global time order either way,
@@ -352,6 +356,10 @@ class SimKernel:
         #: (:meth:`_plan_column`) — the "plan" leg of the span-drain
         #: phase breakdown in :attr:`span_stats`
         self.plan_ns = 0
+        #: column plans made and planned rows they returned; rows per
+        #: generated packet above 1 is replanning waste
+        self.plan_calls = 0
+        self.plan_rows = 0
         if not _resumed:
             # a restored scheduler is already bound to the restored
             # queue bank (shared pickle graph); re-binding would reset
@@ -514,6 +522,8 @@ class SimKernel:
         self._col_lo = li
         self._col_plan_li = li
         self._col_epoch = sched.map_epoch
+        self.plan_calls += 1
+        self.plan_rows += self._col_hi - li
         self.plan_ns += time.perf_counter_ns() - t0
 
     def _peek_arrival_ns(self) -> int | None:
@@ -789,26 +799,20 @@ class SimKernel:
         spans committed, attempts bailed to the scalar path, packets
         dispatched through committed spans, and the wall-clock phase
         split — ``plan_ns`` (column planning, accumulated on every
-        engine), ``drain_ns`` (phase-1 per-core simulation) and
-        ``commit_ns`` (phase-2 state commit including the scheduler's
-        span commit)."""
+        engine, next to its ``plan_calls`` and ``plan_rows`` counts),
+        ``drain_ns`` (phase-1 per-core simulation) and ``commit_ns``
+        (phase-2 state commit including the scheduler's span
+        commit)."""
         s = self._span
-        if s is None:
-            return {
-                "spans_committed": 0,
-                "spans_bailed": 0,
-                "packets_spanned": 0,
-                "plan_ns": self.plan_ns,
-                "drain_ns": 0,
-                "commit_ns": 0,
-            }
         return {
-            "spans_committed": s.spans_committed,
-            "spans_bailed": s.spans_bailed,
-            "packets_spanned": s.packets_spanned,
+            "spans_committed": s.spans_committed if s else 0,
+            "spans_bailed": s.spans_bailed if s else 0,
+            "packets_spanned": s.packets_spanned if s else 0,
             "plan_ns": self.plan_ns,
-            "drain_ns": s.drain_ns,
-            "commit_ns": s.commit_ns,
+            "plan_calls": self.plan_calls,
+            "plan_rows": self.plan_rows,
+            "drain_ns": s.drain_ns if s else 0,
+            "commit_ns": s.commit_ns if s else 0,
         }
 
     def start_packet(self, core: int, pkt: int, t_ns: int) -> None:

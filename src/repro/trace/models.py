@@ -219,7 +219,6 @@ class FlowPopulation:
         if not 0.0 <= tcp_fraction <= 1.0:
             raise ValueError(f"tcp_fraction must be in [0, 1], got {tcp_fraction}")
         rng = make_rng(rng)
-        seen: set[tuple[int, int, int, int, int]] = set()
         cols = (
             np.empty(num_flows, dtype=np.uint32),
             np.empty(num_flows, dtype=np.uint32),
@@ -227,6 +226,10 @@ class FlowPopulation:
             np.empty(num_flows, dtype=np.uint16),
             np.empty(num_flows, dtype=np.uint8),
         )
+        # each accepted 5-tuple packed into two uint64 keys (src|dst,
+        # sport|dport|proto), in acceptance order
+        key_hi = np.empty(num_flows, dtype=np.uint64)
+        key_lo = np.empty(num_flows, dtype=np.uint64)
         filled = 0
         while filled < num_flows:
             need = num_flows - filled
@@ -242,19 +245,32 @@ class FlowPopulation:
             proto = np.where(
                 rng.random(batch) < tcp_fraction, PROTO_TCP, PROTO_UDP
             ).astype(np.uint8)
-            for i in range(batch):
-                key = (int(src[i]), int(dst[i]), int(sport[i]), int(dport[i]), int(proto[i]))
-                if key in seen:
-                    continue
-                seen.add(key)
-                cols[0][filled] = src[i]
-                cols[1][filled] = dst[i]
-                cols[2][filled] = sport[i]
-                cols[3][filled] = dport[i]
-                cols[4][filled] = proto[i]
-                filled += 1
-                if filled == num_flows:
-                    break
+            hi = np.concatenate((
+                key_hi[:filled],
+                (src.astype(np.uint64) << np.uint64(32)) | dst,
+            ))
+            lo = np.concatenate((
+                key_lo[:filled],
+                (sport.astype(np.uint64) << np.uint64(24))
+                | (dport.astype(np.uint64) << np.uint64(8))
+                | proto,
+            ))
+            # a stable sort keeps equal keys in draw order, so the head
+            # of each run of equal keys is its first occurrence, and an
+            # already accepted tuple heads the run of its redraws
+            order = np.lexsort((lo, hi))
+            hs, ls = hi[order], lo[order]
+            head = np.ones(len(order), dtype=bool)
+            head[1:] = (hs[1:] != hs[:-1]) | (ls[1:] != ls[:-1])
+            fresh = order[head]
+            fresh = np.sort(fresh[fresh >= filled])[:need]
+            take = fresh - filled
+            end = filled + len(take)
+            for col, drawn in zip(cols, (src, dst, sport, dport, proto)):
+                col[filled:end] = drawn[take]
+            key_hi[filled:end] = hi[fresh]
+            key_lo[filled:end] = lo[fresh]
+            filled = end
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape[0] != num_flows:

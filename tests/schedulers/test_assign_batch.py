@@ -175,13 +175,26 @@ def test_base_assign_batch_is_none():
         assert sched.assign_batch(fh, sid, fid, arr, 0) is None
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "hash-static", "afs", "adaptive-hash", "laps",
-        "rss-static", "flow-director", "sprinklers", "flowlet",
-    ],
-)
+def test_per_flow_rebinders_keep_no_plan():
+    """Flowlet and Flow Director rebind single flows so often that a
+    plan of theirs was replanned hundreds of times per packet (what
+    ``tests/sim/test_plan_waste.py`` now forbids); they keep the base
+    ``assign_batch`` and dispatch through ``select_core`` alone."""
+    for name in ("flowlet", "flow-director"):
+        cls = type(make_scheduler(name))
+        assert cls.assign_batch is Scheduler.assign_batch
+        assert cls.batch_commit is None
+        assert cls.batch_static is False
+
+
+#: the schedulers that override ``assign_batch``
+PLANNING_SCHEDULERS = [
+    name for name in available_schedulers()
+    if type(_make(name)).assign_batch is not Scheduler.assign_batch
+]
+
+
+@pytest.mark.parametrize("name", PLANNING_SCHEDULERS)
 def test_planning_is_idempotent(name):
     """Planning twice over overlapping spans must not change state
     (the kernel replans the same suffix after every epoch bump)."""
@@ -189,8 +202,6 @@ def test_planning_is_idempotent(name):
     a, b = _make(name), _make(name)
     a.bind(MutableLoads())
     b.bind(MutableLoads())
-    if type(a).assign_batch is Scheduler.assign_batch:
-        pytest.skip(f"{name} has no batch path")
     once = a.assign_batch(fh, sid, fid, arr, 0)
     b.assign_batch(fh, sid, fid, arr, 0)
     twice = b.assign_batch(fh, sid, fid, arr, 0)
@@ -274,12 +285,12 @@ class TestLapsPinOverlayCache:
 # kernel-level bit-identity
 # ----------------------------------------------------------------------
 
-KERNEL_SCHEDULERS = [
-    "hash-static", "afs", "adaptive-hash", "laps",
-    # the zoo (PR 6): every new scheduler rides the same epoch/batch
-    # contract, so it gets the full kernel-level bit-identity battery
-    "rss-static", "flow-director", "sprinklers", "flowlet",
-]
+#: every scheduler with a plan gets the full kernel-level bit-identity
+#: battery; without one ``vectorized=True`` runs the scalar path
+KERNEL_SCHEDULERS = PLANNING_SCHEDULERS
+#: plus the two per-flow rebinders, whose scalar state must still
+#: survive checkpoints and agree across event queues
+ZOO_SCHEDULERS = [*KERNEL_SCHEDULERS, "flow-director", "flowlet"]
 
 
 def _two_service_inputs(packets=3_000):
@@ -384,7 +395,7 @@ def test_vectorized_identical_under_core_flaps(name):
     assert fast == slow
 
 
-@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+@pytest.mark.parametrize("name", ZOO_SCHEDULERS)
 @pytest.mark.parametrize("vec_first", [True, False])
 def test_cross_mode_checkpoint_resume(name, vec_first):
     """A checkpoint taken by one mode resumes exactly in the other —

@@ -28,7 +28,7 @@ from repro.sim.kernel import SimKernel
 from repro.sim.system import simulate
 from repro.faults.injector import FaultInjector
 from tests.schedulers.test_assign_batch import (
-    KERNEL_SCHEDULERS,
+    ZOO_SCHEDULERS,
     _config,
     _faults,
     _kernel_sched,
@@ -90,20 +90,20 @@ def _run(name, engine, *, chunk_size=None, faulted=False, seed=3):
                     injector=injector, engine=engine)
 
 
-@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+@pytest.mark.parametrize("name", ZOO_SCHEDULERS)
 def test_engines_bit_identical_materialized(name):
     baseline = _run(name, "heap")
     for engine in ("calendar", "calendar-numba"):
         assert _run(name, engine) == baseline
 
 
-@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+@pytest.mark.parametrize("name", ZOO_SCHEDULERS)
 def test_engines_bit_identical_streamed(name):
     baseline = _run(name, "heap", chunk_size=701)
     assert _run(name, "calendar", chunk_size=701) == baseline
 
 
-@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+@pytest.mark.parametrize("name", ZOO_SCHEDULERS)
 def test_engines_bit_identical_faulted(name):
     baseline = _run(name, "heap", faulted=True)
     assert _run(name, "calendar", faulted=True) == baseline

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hashing.five_tuple import PROTO_TCP, PROTO_UDP
 from repro.trace.models import (
     FlowPopulation,
     PacketSizeModel,
@@ -192,3 +193,107 @@ class TestFlowPopulation:
     def test_protocols_valid(self, rng):
         pop = FlowPopulation.sample(100, 1.0, rng)
         assert set(np.unique(pop.proto)) <= {6, 17}
+
+
+def _sample_loop(num_flows, rng, tcp_fraction=0.85):
+    """The per-tuple ``set`` dedup ``FlowPopulation.sample`` used to
+    run, kept as the oracle for the vectorized one."""
+    seen = set()
+    cols = (
+        np.empty(num_flows, dtype=np.uint32),
+        np.empty(num_flows, dtype=np.uint32),
+        np.empty(num_flows, dtype=np.uint16),
+        np.empty(num_flows, dtype=np.uint16),
+        np.empty(num_flows, dtype=np.uint8),
+    )
+    filled = 0
+    while filled < num_flows:
+        need = num_flows - filled
+        batch = max(need, 16)
+        src = rng.integers(0x0A000000, 0x0AFFFFFF, size=batch, dtype=np.uint32)
+        dst = rng.integers(0xC0A80000, 0xDFFFFFFF, size=batch, dtype=np.uint32)
+        sport = rng.integers(1024, 65535, size=batch, dtype=np.uint16)
+        dport = rng.choice(
+            np.array([80, 443, 53, 22, 25, 8080, 5060, 1194], dtype=np.uint16),
+            size=batch,
+        )
+        proto = np.where(
+            rng.random(batch) < tcp_fraction, PROTO_TCP, PROTO_UDP
+        ).astype(np.uint8)
+        for i in range(batch):
+            key = (int(src[i]), int(dst[i]), int(sport[i]), int(dport[i]), int(proto[i]))
+            if key in seen:
+                continue
+            seen.add(key)
+            for col, drawn in zip(cols, (src, dst, sport, dport, proto)):
+                col[filled] = drawn[i]
+            filled += 1
+            if filled == num_flows:
+                break
+    return cols
+
+
+class _RepeatingRng(np.random.Generator):
+    """A generator whose integer draws (``choice`` included) land on
+    only *span* values per field, so 5-tuples repeat both inside one
+    batch and across the redraw batches."""
+
+    def __init__(self, seed: int, span: int) -> None:
+        super().__init__(np.random.PCG64(seed))
+        self.span = span
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        return (low + super().integers(0, self.span, size=size)).astype(dtype)
+
+
+def _columns(pop):
+    return (pop.src_ip, pop.dst_ip, pop.src_port, pop.dst_port, pop.proto)
+
+
+class TestFlowPopulationDedupTwin:
+    """The vectorized 5-tuple dedup against the loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        span=st.integers(1, 4),
+        frac=st.sampled_from([0.0, 0.5, 0.85, 1.0]),
+        data=st.data(),
+    )
+    def test_matches_loop_under_forced_collisions(self, seed, span, frac, data):
+        protos = 1 if frac in (0.0, 1.0) else 2
+        # ``choice`` draws through ``integers`` too, so the stub can
+        # produce span**4 * protos distinct tuples; ask for at most
+        # half of them so the redraw loop ends quickly
+        space = span**4 * protos
+        num_flows = data.draw(st.integers(1, max(1, min(space // 2, 200))))
+        got = FlowPopulation.sample(
+            num_flows, 1.0, _RepeatingRng(seed, span), tcp_fraction=frac
+        )
+        want = _sample_loop(num_flows, _RepeatingRng(seed, span), frac)
+        for g, w in zip(_columns(got), want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_stub_forces_redraws(self):
+        """The stub really does collide: with 2 values per field (32
+        distinct tuples) 16 flows take more than one batch."""
+        rng = _RepeatingRng(5, 2)
+        batches = []
+        random = rng.random
+
+        def counting(n):
+            batches.append(n)
+            return random(n)
+
+        rng.random = counting
+        FlowPopulation.sample(16, 1.0, rng, tcp_fraction=0.5)
+        assert len(batches) > 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000))
+    def test_matches_loop_on_real_generator(self, seed, n):
+        got = FlowPopulation.sample(n, 1.0, np.random.default_rng(seed))
+        want = _sample_loop(n, np.random.default_rng(seed))
+        for g, w in zip(_columns(got), want):
+            np.testing.assert_array_equal(g, w)
