@@ -258,16 +258,17 @@ def test_epoch_churn_stress(benchmark):
     )
 
 
-def test_laps_calendar_commit_floor(benchmark):
-    """LAPS on the calendar span drain must not lose to the scalar heap
-    oracle.  The batch-native commit path (``AFD.observe_batch`` +
+def test_laps_span_commit_floor(benchmark):
+    """LAPS on the span path (the default ``vectorized=True``) must not
+    lose to the scalar oracle (``vectorized=False``).  The batch-native
+    commit path (``AFD.observe_batch`` +
     ``CoreAllocator.note_load_batch``) is what pays for the span
     machinery; a silent regression back to per-packet scalar replay
-    shows up here as calendar < heap.  The workload is sized past the
+    shows up here as span < scalar.  The workload is sized past the
     span warm-up crossover (the AIMD span cap and column planner
-    amortize over ~100k packets — below that the heap oracle wins on
+    amortize over ~100k packets — below that the scalar path wins on
     fixed overhead alone, so this test ignores ``REPRO_BENCH_QUICK``),
-    and the engines are interleaved round-by-round so a slow patch on
+    and the two paths are interleaved round-by-round so a slow patch on
     a shared runner hits both equally.  The ``commit_vectorized``
     capability bit is pinned structurally too — without it the span
     driver ignores ``batch_commit_span`` entirely."""
@@ -284,34 +285,34 @@ def test_laps_calendar_commit_floor(benchmark):
     )
     cfg = SimConfig(num_cores=8, services=svc, collect_latencies=False)
 
-    def one(engine):
+    def one(vectorized):
         sched = LAPSScheduler(LAPSConfig(num_services=1), rng=7)
         t0 = time.perf_counter()
-        rep = simulate(wl, sched, cfg, engine=engine)
+        rep = simulate(wl, sched, cfg, vectorized=vectorized)
         return rep.generated / (time.perf_counter() - t0), rep
 
     def run():
-        cal_pps = heap_pps = 0.0
-        cal_rep = heap_rep = None
-        for _ in range(3):  # interleaved: noise drifts hit both engines
-            pps, cal_rep = one("calendar")
-            cal_pps = max(cal_pps, pps)
-            pps, heap_rep = one("heap")
-            heap_pps = max(heap_pps, pps)
-        return cal_pps, cal_rep, heap_pps, heap_rep
+        span_pps = scalar_pps = 0.0
+        span_rep = scalar_rep = None
+        for _ in range(3):  # interleaved: noise drifts hit both paths
+            pps, span_rep = one(True)
+            span_pps = max(span_pps, pps)
+            pps, scalar_rep = one(False)
+            scalar_pps = max(scalar_pps, pps)
+        return span_pps, span_rep, scalar_pps, scalar_rep
 
-    cal_pps, cal_rep, heap_pps, heap_rep = benchmark.pedantic(
+    span_pps, span_rep, scalar_pps, scalar_rep = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    assert cal_rep == heap_rep  # engines trade speed, never outcomes
+    assert span_rep == scalar_rep  # the paths trade speed, never outcomes
     floor = float(os.environ.get("REPRO_BENCH_MIN_PPS", "20000"))
-    assert cal_pps >= floor, (
-        f"LAPS on calendar at {cal_pps:,.0f} simulated pkts/s, below "
-        f"the REPRO_BENCH_MIN_PPS floor of {floor:,.0f}"
+    assert span_pps >= floor, (
+        f"LAPS on the span path at {span_pps:,.0f} simulated pkts/s, "
+        f"below the REPRO_BENCH_MIN_PPS floor of {floor:,.0f}"
     )
-    assert cal_pps >= heap_pps, (
-        f"LAPS calendar ({cal_pps:,.0f} pkts/s) lost to heap "
-        f"({heap_pps:,.0f} pkts/s) — has the span commit path gone "
+    assert span_pps >= scalar_pps, (
+        f"LAPS span path ({span_pps:,.0f} pkts/s) lost to scalar "
+        f"({scalar_pps:,.0f} pkts/s) — has the span commit path gone "
         f"scalar again?"
     )
 

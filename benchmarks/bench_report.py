@@ -2,13 +2,11 @@
 
 Measures end-to-end simulated packets per second of wall time for the
 scheduler zoo (hash-static, rss-static, adaptive-hash, flowlet, LAPS)
-over the event-engine x materialized x streamed grid, plus the peak RSS
-of each run.  Every cell carries an ``engine`` column: ``heap`` is the
-scalar oracle, ``calendar`` the batched numpy span drain, and
-``calendar-numba`` the compiled backend (recorded with its fallback
-when numba is absent — see docs/performance.md).  A pair of
-``vectorized=False`` cells preserves the scalar floor tracked since the
-first scorecard.  Every cell runs in a fresh subprocess
+over the path x materialized x streamed grid, plus the peak RSS of each
+run.  The path axis is the kernel's ``vectorized`` flag: ``True`` is
+the default (column plan plus batched span drain), ``False`` the scalar
+oracle (``select_core`` per packet), so every scheduler's fast path is
+measured against its own fallback.  Every cell runs in a fresh subprocess
 (``ru_maxrss``/``VmHWM`` are process-lifetime high-watermarks) and
 reports the best of several rounds, so the numbers are comparable
 across commits on the same box.
@@ -27,11 +25,15 @@ carries a ``span`` object — the kernel's batched-drain phase breakdown
 for the best round (``plan_ms`` column planning, ``drain_ms`` phase-1
 per-core simulation, ``commit_ms`` phase-2 state commit including the
 scheduler's span commit, plus spans committed/bailed and packets
-dispatched through spans).  On the heap engine only ``plan_ms`` is
-non-zero; sharded cells record ``span: null`` (the kernels live in
-worker processes).  The breakdown shows *where* a scheduler's calendar
-cell spends its time — e.g. whether LAPS is bound by the AFD commit or
-by the drain itself.
+dispatched through spans).  On the scalar path every field is zero;
+sharded cells record ``span: null`` (the kernels live in worker
+processes).  The breakdown shows *where* a scheduler's vectorized cell
+spends its time — e.g. whether LAPS is bound by the AFD commit or by
+the drain itself.
+
+Schema ``repro.bench_kernel/5`` dropped the ``engine`` columns along
+with the engine switch: there is one event queue, and the span drain
+is part of the vectorized path.
 
 Run from the repo root::
 
@@ -67,11 +69,11 @@ def peak_rss_kib():
     import resource
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-(scheduler, source_kind, vectorized, packets, rounds, engine, shards,
+(scheduler, source_kind, vectorized, packets, rounds, shards,
  workers, num_cores, num_services) = (
     sys.argv[1], sys.argv[2], sys.argv[3] == "1", int(sys.argv[4]),
-    int(sys.argv[5]), sys.argv[6] or None, int(sys.argv[7]),
-    int(sys.argv[8]), int(sys.argv[9]), int(sys.argv[10]),
+    int(sys.argv[5]), int(sys.argv[6]), int(sys.argv[7]),
+    int(sys.argv[8]), int(sys.argv[9]),
 )
 
 from repro import units
@@ -79,14 +81,11 @@ from repro.core.laps import LAPSConfig, LAPSScheduler
 from repro.net.service import Service, ServiceSet
 from repro.schedulers.base import make_scheduler
 from repro.sim.config import SimConfig
-from repro.sim.engine import resolve_engine
 from repro.sim.generator import HoltWintersParams
 from repro.sim.source import StreamingSource
 from repro.sim.system import NetworkProcessorSim, simulate
 from repro.sim.workload import build_workload
 from repro.trace.synthetic import preset_trace
-
-engine_spec = resolve_engine(engine)
 
 RATE = 8e6  # offered pps (HoltWinters level, summed over services)
 trace = preset_trace("caida-1", num_packets=max(1, packets // num_services))
@@ -120,12 +119,12 @@ for _ in range(rounds):
     if shards > 1:
         # sharded kernels live in worker processes: no span breakdown
         report = simulate(workload, make_sched(), config,
-                          vectorized=vectorized, engine=engine,
+                          vectorized=vectorized,
                           shards=shards, shard_workers=workers)
         stats = None
     else:
         sim = NetworkProcessorSim(config, make_sched(), workload,
-                                  vectorized=vectorized, engine=engine)
+                                  vectorized=vectorized)
         report = sim.run()
         s = sim.kernel.span_stats
         stats = {
@@ -148,9 +147,6 @@ json.dump(
         "generated": generated,
         "span": span,
         "peak_rss_mb": round(peak_rss_kib() / 1024.0, 1),
-        "engine": engine_spec.name,
-        "engine_requested": engine_spec.requested,
-        "engine_fallback": engine_spec.fallback_reason,
         "cpus": os.cpu_count(),
     },
     sys.stdout,
@@ -160,7 +156,7 @@ json.dump(
 
 def _run_cell(
     scheduler: str, source_kind: str, vectorized: bool, packets: int,
-    rounds: int, engine: str | None = None, shards: int = 1,
+    rounds: int, shards: int = 1,
     workers: int = 0, num_cores: int = 8, num_services: int = 1,
 ) -> dict:
     src_dir = Path(__file__).resolve().parent.parent / "src"
@@ -172,7 +168,7 @@ def _run_cell(
         [
             sys.executable, "-c", _CHILD, scheduler, source_kind,
             "1" if vectorized else "0", str(packets), str(rounds),
-            engine or "", str(shards), str(workers), str(num_cores),
+            str(shards), str(workers), str(num_cores),
             str(num_services),
         ],
         capture_output=True, text=True, env=env, check=True,
@@ -204,29 +200,24 @@ def main(argv: list[str] | None = None) -> int:
     scale_packets = 40_000 if quick else 400_000
     cpus = os.cpu_count() or 1
 
-    # the grid: scheduler zoo x engines on the vectorized path, plus
-    # the two historical scalar-floor cells (vectorized=False, heap) —
-    # those MUST NOT regress relative to earlier scorecards.
+    # the grid: scheduler zoo x {vectorized (span path), scalar} x
+    # {materialized, streamed}; the scalar cells are each scheduler's
+    # floor — its vectorized cell must not lose to it
     schedulers = ("hash-static", "rss-static", "adaptive-hash", "flowlet",
                   "laps")
     grid: list[dict] = []
     for scheduler in schedulers:
         for source_kind in ("materialized", "streamed"):
-            engines = ("heap", "calendar", "calendar-numba") \
-                if source_kind == "materialized" else ("heap", "calendar")
-            for engine in engines:
+            for vectorized in (True, False):
                 grid.append(dict(scheduler=scheduler, source_kind=source_kind,
-                                 vectorized=True, engine=engine))
-    for scheduler in ("hash-static", "laps"):
-        grid.append(dict(scheduler=scheduler, source_kind="materialized",
-                         vectorized=False, engine="heap"))
+                                 vectorized=vectorized))
     # sharded cells: the 8-core platform cut 2 ways (directly comparable
     # with the single-process hash-static cells above), then the
     # 120-core/8-service scale scenario sharded 8 ways
     grid.append(dict(scheduler="hash-static", source_kind="streamed",
-                     vectorized=True, engine=None, shards=2, workers=2))
+                     vectorized=True, shards=2, workers=2))
     grid.append(dict(scheduler="hash-static", source_kind="streamed",
-                     vectorized=True, engine=None, shards=8, workers=0,
+                     vectorized=True, shards=8, workers=0,
                      num_cores=120, num_services=8,
                      packets=scale_packets))
 
@@ -235,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         cell = _run_cell(
             spec["scheduler"], spec["source_kind"], spec["vectorized"],
             spec.get("packets", packets), rounds,
-            engine=spec.get("engine"), shards=spec.get("shards", 1),
+            shards=spec.get("shards", 1),
             workers=spec.get("workers", 0),
             num_cores=spec.get("num_cores", 8),
             num_services=spec.get("num_services", 1),
@@ -247,8 +238,7 @@ def main(argv: list[str] | None = None) -> int:
                 + (", so shards time-share one core" if cpus <= 1 else "")
             )
         results.append(cell)
-        note = f" (fallback: {cell['engine_fallback']})" \
-            if cell.get("engine_fallback") else ""
+        note = ""
         span = cell.get("span")
         if span and span["packets_spanned"]:
             note += (
@@ -259,14 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{cell['scheduler']:14s} {cell['source']:12s} "
             f"vectorized={str(cell['vectorized']):5s} "
-            f"engine={cell['engine_requested'] or 'default':14s} "
             f"shards={cell['shards']:<3d} cores={cell['num_cores']:<4d} "
             f"{cell['pkts_per_sec']:>12,.0f} pkts/s  "
             f"rss {cell['peak_rss_mb']:.1f} MiB{note}"
         )
 
     doc = {
-        "schema": "repro.bench_kernel/4",
+        "schema": "repro.bench_kernel/5",
         "generated_by": "benchmarks/bench_report.py",
         "quick": quick,
         "packets": packets,

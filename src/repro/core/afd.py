@@ -118,7 +118,7 @@ class AggressiveFlowDetector:
         self.annex.insert(flow_id)
 
     # ------------------------------------------------------------------
-    # batched path (the calendar engine's span drain)
+    # batched path (the span drain)
     # ------------------------------------------------------------------
     def observe_batch(self, flow_ids: np.ndarray) -> None:
         """Account a committed span of packets — bit-identical to

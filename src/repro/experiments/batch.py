@@ -83,10 +83,6 @@ class RunSpec:
     #: are stateful) and handed to :func:`~repro.sim.system.simulate`
     injector_fn: Callable | None = None
     injector_kwargs: dict = field(default_factory=dict)
-    #: event engine for the run (None = the kernel default; see
-    #: :func:`repro.sim.engine.resolve_engine`) — results are engine-
-    #: independent, so this is a speed knob, not a scenario axis
-    engine: str | None = None
     #: shard the run N ways via :func:`repro.sim.sharding.run_sharded`
     #: (None/1 = single-process).  All sharded runs of one workload
     #: group share a single source fingerprint, computed once per
@@ -157,7 +153,7 @@ def _group_task(packed: tuple) -> list[tuple[int, BatchRun]]:
                 workload, scheduler, spec.build_config(),
                 shards=spec.shards, workers=spec.shard_workers,
                 window_ns=spec.shard_window_ns, schedule=schedule,
-                drain_policy=drain_policy, engine=spec.engine,
+                drain_policy=drain_policy,
                 source_fingerprint=group_fingerprint,
             )
             out.append(
@@ -166,7 +162,7 @@ def _group_task(packed: tuple) -> list[tuple[int, BatchRun]]:
             continue
         report = simulate(
             workload, scheduler, spec.build_config(),
-            injector=injector, engine=spec.engine,
+            injector=injector,
         )
         out.append((index, BatchRun(spec, report)))
     return out

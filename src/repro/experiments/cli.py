@@ -24,7 +24,6 @@ from repro.experiments import (
     workloads,
 )
 from repro.faults import harness as faults_harness
-from repro.sim.engine import available_engines
 from repro.sim.source import DEFAULT_CHUNK_SIZE
 
 __all__ = ["main"]
@@ -39,10 +38,10 @@ _EXPERIMENTS = {
     "timing": lambda quick, jobs, **_: timing.run(quick=quick),
     "ablations": lambda quick, jobs, **st: ablations.run(
         quick=quick, jobs=jobs, **st),
-    "faults": lambda quick, jobs, engine=None, **_: [
-        faults_harness.run(quick=quick, jobs=jobs, engine=engine)],
-    "tournament": lambda quick, jobs, engine=None, **_: tournament.run(
-        quick=quick, jobs=jobs, engine=engine),
+    "faults": lambda quick, jobs, **_: [
+        faults_harness.run(quick=quick, jobs=jobs)],
+    "tournament": lambda quick, jobs, **_: tournament.run(
+        quick=quick, jobs=jobs),
     "workloads": lambda quick, jobs, **st: [
         workloads.run(quick=quick, jobs=jobs, **st)],
 }
@@ -87,11 +86,6 @@ def main(argv: list[str] | None = None) -> int:
         help="packets per streamed chunk (needs --stream; default "
              f"{DEFAULT_CHUNK_SIZE})",
     )
-    parser.add_argument(
-        "--engine", choices=available_engines(), default=None,
-        help="event core for the simulator-backed harnesses "
-             "(faults/tournament); results are engine-independent",
-    )
     args = parser.parse_args(argv)
 
     selected = args.experiments or ["all"]
@@ -104,8 +98,6 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         t0 = time.perf_counter()
         kwargs = dict(stream=args.stream, chunk_size=args.chunk_size)
-        if name in ("faults", "tournament"):
-            kwargs["engine"] = args.engine
         results = _EXPERIMENTS[name](args.quick, args.jobs, **kwargs)
         elapsed = time.perf_counter() - t0
         for i, result in enumerate(results):

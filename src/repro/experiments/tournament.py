@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
@@ -50,7 +50,6 @@ from repro.faults.injector import FaultInjector, apply_traffic_events
 from repro.net.service import default_services
 from repro.schedulers.base import Scheduler, make_scheduler
 from repro.sim.config import SimConfig
-from repro.sim.engine import available_engines
 from repro.sim.generator import HoltWintersParams
 from repro.sim.metrics import SimReport
 from repro.sim.workload import Workload, build_workload
@@ -239,7 +238,6 @@ def run_tournament(
     duration_ns: int | None = None,
     trace_packets: int | None = None,
     jobs: int = 1,
-    engine: str | None = None,
     shards: int | None = None,
     shard_workers: int = 0,
 ) -> dict[str, Any]:
@@ -247,8 +245,7 @@ def run_tournament(
 
     ``shards`` runs each *statically partitionable* scheduler's cells
     through :func:`repro.sim.sharding.run_sharded` — bit-identical to
-    single-process, so like ``engine`` it is a speed knob, never a
-    scenario axis, and the scorecard is unchanged.  Schedulers whose
+    single-process, so it is a speed knob, never a scenario axis, and the scorecard is unchanged.  Schedulers whose
     sharded results would differ (everything non-``shard_static``,
     including LAPS' windowed services mode) stay single-process.
     """
@@ -301,7 +298,6 @@ def run_tournament(
                                 {} if fault == "none"
                                 else dict(fault=fault, duration_ns=duration_ns)
                             ),
-                            engine=engine,
                             shards=shards if shardable.get(name) else None,
                             shard_workers=shard_workers,
                             label=dict(
@@ -487,11 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_SEEDS,
     )
     parser.add_argument(
-        "--engine", choices=available_engines(), default=None,
-        help="event core for every run (bit-identical scorecards across "
-             "engines; see docs/performance.md)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="run statically partitionable schedulers sharded N ways "
              "(bit-identical scorecards; see docs/architecture.md)",
@@ -518,7 +509,6 @@ def main(argv: list[str] | None = None) -> int:
         seeds=args.seeds,
         quick=args.quick,
         jobs=args.jobs,
-        engine=args.engine,
         shards=args.shards,
         shard_workers=args.shard_workers,
     )

@@ -25,6 +25,8 @@ rather than silent misattribution.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.errors import ConfigError
@@ -179,14 +181,20 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
     def bind(self, view) -> None:
         """Attach to the run (a :class:`~repro.sim.kernel.SimKernel` or
-        anything else exposing the sampler view protocol)."""
-        self._view = view
+        anything else exposing the sampler view protocol).
+
+        The view is held weakly: the kernel's hook bus holds this
+        probe, so a strong reference back would make every observed
+        run a reference cycle, its state freed only when the cyclic
+        collector next runs.
+        """
+        self._view = weakref.ref(view)
 
     def maybe_sample(self, t_ns: int, queues, metrics) -> None:
         """Record at most one sample when *t_ns* crossed a boundary."""
         if t_ns < self._next_ns:
             return
-        view = self._view
+        view = self._view() if self._view is not None else None
         if view is None:
             view = _View(queues, metrics)
         row = {"t_ns": t_ns}

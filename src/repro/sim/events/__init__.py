@@ -1,26 +1,19 @@
-"""The event-core layer: queue implementations + batched span drain.
+"""The event core: one event queue plus the batched span drain.
 
 This package owns everything below the kernel's arrival loop:
 
 * :mod:`repro.sim.events.base` — the binary-heap :class:`EventQueue`
-  (the historical engine, still the default and the bit-identity
-  oracle) and the engine-independent :class:`EventSnapshot` that
-  checkpoint blob v4 stores instead of a live queue;
-* :mod:`repro.sim.events.calendar` — :class:`CalendarEventQueue`, a
-  bucketed calendar queue with the same public contract and exact
-  ``(time_ns, seq)`` total order;
-* :mod:`repro.sim.events.backend` — the :class:`EngineBackend`
-  protocol plus the pure-numpy and optional numba implementations of
-  the per-core span kernel;
+  (completions and timed platform events in exact ``(time_ns, seq)``
+  order) and the :class:`EventSnapshot` that checkpoint blob v4
+  stores instead of a live queue;
 * :mod:`repro.sim.events.span` — the batched arrival/departure drain
   that consumes a planned scheduler column without per-packet event
   pushes, falling back to scalar dispatch whenever a hook, fault
-  event, guard trip or ordering ambiguity makes batching inexact.
-
-Engine *selection* lives one level up in :mod:`repro.sim.engine`.
+  event, guard trip or ordering ambiguity makes batching inexact.  It
+  runs under the kernel's default ``vectorized=True``;
+  ``vectorized=False`` is the scalar oracle.
 """
 
 from repro.sim.events.base import EventQueue, EventSnapshot
-from repro.sim.events.calendar import CalendarEventQueue
 
-__all__ = ["EventQueue", "EventSnapshot", "CalendarEventQueue"]
+__all__ = ["EventQueue", "EventSnapshot"]

@@ -7,11 +7,10 @@ case by draining a whole **span** of planned arrivals at once:
 
 1. **Phase 1 — pure compute.**  Each core's span is an independent
    single-server FIFO recurrence (its in-flight packet, its queued
-   backlog, its share of the planned arrivals).  The
-   :func:`~repro.sim.events.backend.simulate_core` kernel runs it per
-   core over replicated copies of the shared state (flow→last-core,
-   migration flags) — interpreted for the numpy backend, ``njit``-ed
-   for numba.  Nothing global is touched, so a bail costs nothing.
+   backlog, its share of the planned arrivals).  :func:`simulate_core`
+   runs it per core over plain-list columns and replicated copies of
+   the shared state (flow→last-core, migration flags).  Nothing global
+   is touched, so a bail costs nothing.
 2. **Phase 2 — vectorized commit.**  The per-core results are merged
    back into the exact scalar-kernel state: event seqs are assigned in
    the precise global start order the scalar loop would have produced
@@ -19,9 +18,14 @@ case by draining a whole **span** of planned arrivals at once:
    committed with numpy gathers, and the event queue's pending set is
    replaced wholesale via ``reset_entries``.
 
-**Exactness, not approximation.**  The scalar closures remain the
-bit-identity oracle; a span only commits when its semantics are
-provably identical, and otherwise *bails* to scalar dispatch:
+This is the state/compute split of State-Compute Replication (Xu et
+al., PAPERS.md): the packet-rate recurrence runs over replicated
+scalar state, and per-flow/global state is reconciled once per span.
+
+**Exactness, not approximation.**  The scalar closures
+(``vectorized=False``) remain the bit-identity oracle; a span only
+commits when its semantics are provably identical, and otherwise
+*bails* to scalar dispatch:
 
 * any hook that fires per arrival (probes' ``sample``, queue
   busy/empty edges), a fault injector, killed packets, degraded core
@@ -63,12 +67,11 @@ other flow replays its events through the real ``on_depart``/
 from __future__ import annotations
 
 import time
+import weakref
 
 import numpy as np
 
-from repro.sim.events.backend import OUT_SLOTS
-
-__all__ = ["SpanDriver"]
+__all__ = ["SpanDriver", "simulate_core"]
 
 #: spans shorter than this go scalar — setup cost beats the savings
 _MIN_SPAN = 64
@@ -84,27 +87,217 @@ RETRY_STRIDE = 64
 
 _NO_GUARD = 1 << 60
 
-#: adaptive span-cap bounds (see ``SpanDriver._cap``)
+#: adaptive span-cap bounds (see ``SpanDriver._cap``); the ceiling
+#: bounds the per-attempt buffers — a larger cap only grows resident
+#: memory, since committed results are identical for any cap
 _CAP_INIT = 2048
 _CAP_MIN = 512
-_CAP_MAX = 1 << 20
+_CAP_MAX = 1 << 13
+
+
+def simulate_core(
+    core_id,
+    n_rows,      # total rows: [busy?] + queued prelude + span arrivals
+    n_pre,       # prelude rows (busy + queued); arrivals start here
+    has_busy,    # 1 when row 0 is the in-flight packet, else 0
+    busy_fin,    # its completion time (undefined when idle)
+    arr_t,       # [n_rows] arrival times (admission driver for span rows)
+    proc,        # [n_rows] nominal service ns (eq. 3 without penalties)
+    sid,         # [n_rows] service ids
+    floc,        # [n_rows] dense flow index
+    flow_last,   # [n_flows] dense last-core overlay (mutated)
+    migrated,    # [n_flows] migration flags 0/1 (mutated)
+    last_sid,    # core_last_service at span start
+    guard,       # occupancy guard (a huge value when unguarded)
+    cap,         # queue capacity
+    fm_pen,
+    cc_pen,
+    t_h,         # drain horizon: the span's last global arrival time
+    # preallocated outputs, all [n_rows(+1)]:
+    order_buf,   # rows in service order (busy prelude first)
+    fin_buf,     # completion time per served row, aligned with order_buf
+    kind_buf,    # 1 = started on an idle-core arrival, 0 = queue pop
+    drop_buf,    # dropped row ids, first n_drops valid
+    queue_buf,   # FIFO ring storage
+    occ_buf,     # [span rows] pre-offer occupancy per admitted arrival
+    out,         # [OUT_SLOTS] scalar outputs (unpacked by SpanDriver)
+):
+    """One core's span recurrence: admit / drop / start / complete.
+
+    Bit-for-bit the scalar kernel's per-core behaviour: completions at
+    or before an arrival instant drain first, the guard is read on the
+    pre-offer occupancy, a full queue drops, an idle core starts the
+    arrival immediately, and after the last arrival completions keep
+    chaining up to *t_h* (the global arrival loop would have drained
+    them inside the span).  Flow-migration and cold-cache penalties
+    mutate the replicated ``flow_last``/``last_sid`` copies exactly as
+    ``start_packet`` would.
+
+    Pure with respect to simulator state: everything it writes is a
+    caller-owned buffer or copy, so a bail discards the attempt at zero
+    cost.  Returns nothing; scalars land in ``out``.  Written in a
+    plain array-index style (preallocated outputs, a ring buffer for
+    the FIFO, no containers grown) so it ports to a compiled language
+    line for line.
+    """
+    head = 0
+    tail = 0
+    q_start = has_busy
+    for r in range(q_start, n_pre):
+        queue_buf[tail] = r
+        tail += 1
+    served = 0
+    if has_busy:
+        order_buf[0] = 0
+        fin_buf[0] = busy_fin
+        kind_buf[0] = 0
+        served = 1
+    cur = 0 if has_busy else -1
+    cur_fin = busy_fin if has_busy else 0
+    fm = 0
+    cc = 0
+    busy_add = 0
+    n_drops = 0
+    max_occ = 0
+    trip = -1
+    r = n_pre
+    while r < n_rows:
+        t = arr_t[r]
+        while cur >= 0 and cur_fin <= t:
+            # completion: pop the FIFO or go idle
+            if head < tail:
+                nxt = queue_buf[head]
+                head += 1
+                p = proc[nxt]
+                f = floc[nxt]
+                last = flow_last[f]
+                if last >= 0 and last != core_id:
+                    p += fm_pen
+                    fm += 1
+                    migrated[f] = 1
+                flow_last[f] = core_id
+                s = sid[nxt]
+                if last_sid != s:
+                    if last_sid >= 0:
+                        p += cc_pen
+                        cc += 1
+                    last_sid = s
+                busy_add += p
+                order_buf[served] = nxt
+                fin_buf[served] = cur_fin + p
+                kind_buf[served] = 0
+                served += 1
+                cur = nxt
+                cur_fin = cur_fin + p
+            else:
+                cur = -1
+        occ = tail - head
+        if occ >= guard:
+            trip = r
+            break
+        # the occupancy the scalar guard/commit would have read for
+        # this arrival (pre-offer, post-drain)
+        occ_buf[r - n_pre] = occ
+        if cur >= 0:
+            if occ >= cap:
+                drop_buf[n_drops] = r
+                n_drops += 1
+            else:
+                queue_buf[tail] = r
+                tail += 1
+                if occ + 1 > max_occ:
+                    max_occ = occ + 1
+        else:
+            p = proc[r]
+            f = floc[r]
+            last = flow_last[f]
+            if last >= 0 and last != core_id:
+                p += fm_pen
+                fm += 1
+                migrated[f] = 1
+            flow_last[f] = core_id
+            s = sid[r]
+            if last_sid != s:
+                if last_sid >= 0:
+                    p += cc_pen
+                    cc += 1
+                last_sid = s
+            busy_add += p
+            order_buf[served] = r
+            fin_buf[served] = t + p
+            kind_buf[served] = 1
+            served += 1
+            cur = r
+            cur_fin = t + p
+        r += 1
+    # post-arrival drain: the global loop's complete_until calls keep
+    # popping this core's chain while later arrivals land elsewhere
+    while cur >= 0 and cur_fin <= t_h:
+        if head < tail:
+            nxt = queue_buf[head]
+            head += 1
+            p = proc[nxt]
+            f = floc[nxt]
+            last = flow_last[f]
+            if last >= 0 and last != core_id:
+                p += fm_pen
+                fm += 1
+                migrated[f] = 1
+            flow_last[f] = core_id
+            s = sid[nxt]
+            if last_sid != s:
+                if last_sid >= 0:
+                    p += cc_pen
+                    cc += 1
+                last_sid = s
+            busy_add += p
+            order_buf[served] = nxt
+            fin_buf[served] = cur_fin + p
+            kind_buf[served] = 0
+            served += 1
+            cur = nxt
+            cur_fin = cur_fin + p
+        else:
+            cur = -1
+    # departed = the service-order prefix with fin <= t_h (fins are
+    # strictly increasing along the chain)
+    n_dep = 0
+    while n_dep < served and fin_buf[n_dep] <= t_h:
+        n_dep += 1
+    out[0] = served
+    out[1] = n_dep
+    out[2] = cur
+    out[3] = cur_fin if cur >= 0 else -1
+    out[4] = head
+    out[5] = tail
+    out[6] = fm
+    out[7] = cc
+    out[8] = busy_add
+    out[9] = n_drops
+    out[10] = max_occ
+    out[11] = trip
+    out[12] = last_sid
+
+
+#: scalar-output slot count for the ``out`` buffer above
+OUT_SLOTS = 13
 
 
 class SpanDriver:
     """Per-kernel orchestrator for the batched span drain.
 
-    Bound to one :class:`~repro.sim.kernel.SimKernel` and one
-    :class:`~repro.sim.events.backend.EngineBackend`.  The kernel calls
-    :meth:`attempt` from its arrival loop; the driver commits as many
-    consecutive spans as stay eligible and returns the new local
-    arrival index (unchanged on an immediate bail).
+    Bound to one :class:`~repro.sim.kernel.SimKernel`, which owns it
+    and calls :meth:`attempt` from its arrival loop; each attempt
+    commits as many consecutive spans as stay eligible and returns the
+    new local arrival index (unchanged on an immediate bail).
     """
 
-    def __init__(self, kernel, backend) -> None:
-        self.kernel = kernel
-        self.backend = backend
-        self._fn = backend.core_fn()
-        self._lists = not backend.wants_arrays
+    def __init__(self, kernel) -> None:
+        # a weak back-reference: the kernel holds this object, and a
+        # strong one both ways would be a cycle keeping a finished
+        # run's workload window and state alive until the cyclic
+        # collector next runs
+        self._kernel_ref = weakref.ref(kernel)
         #: committed spans / bailed attempts / packets committed —
         #: profiling signals (``SimKernel.span_stats``)
         self.spans_committed = 0
@@ -138,13 +331,11 @@ class SpanDriver:
 
     # ------------------------------------------------------------------
     def _one_span(self, li: int, horizon_ns: int) -> int:
-        k = self.kernel
+        k = self._kernel_ref()
         st = k.state
         cfg = k.config
         sched = k.scheduler
 
-        if not getattr(sched, "batch_static", False):
-            return li
         batch_commit = sched.batch_commit
         commit_span = getattr(sched, "batch_commit_span", None)
         if not getattr(sched, "commit_vectorized", False):
@@ -276,19 +467,13 @@ class SpanDriver:
         pre_off = np.zeros(n_cores + 1, dtype=np.int64)
         np.cumsum([len(rows) for rows in pre_pkts], out=pre_off[1:])
 
-        fn = self._fn
-        lists = self._lists
         last_service = st.core_last_service
 
         def run_phase1(S: int):
             """Phase 1 over span prefix [0, S): pure, committable."""
             t_h = int(arr_span[S - 1])
-            if lists:
-                flow_last = list(init_last)
-                migrated = [0] * len(init_last)
-            else:
-                flow_last = np.asarray(init_last, dtype=np.int64)
-                migrated = np.zeros(len(init_last), dtype=np.int64)
+            flow_last = list(init_last)
+            migrated = [0] * len(init_last)
             per_core = []
             for c in range(n_cores):
                 rows_all = order[bounds[c] : bounds[c + 1]]
@@ -310,31 +495,16 @@ class SpanDriver:
                 floc = np.concatenate([inv_pre[p_lo:p_hi], inv_span[rows_c]])
                 busy_fin = busy_ev[c][0] if hb else 0
                 nb = n_rows + 1
-                if lists:
-                    a_arr, a_proc = arr_t.tolist(), proc.tolist()
-                    a_sid, a_floc = sid.tolist(), floc.tolist()
-                    order_buf = [0] * nb
-                    fin_buf = [0] * nb
-                    kind_buf = [0] * nb
-                    drop_buf = [0] * nb
-                    queue_buf = [0] * nb
-                    occ_buf = [0] * (rows_c.size + 1)
-                    out = [0] * OUT_SLOTS
-                else:
-                    a_arr = np.ascontiguousarray(arr_t, dtype=np.int64)
-                    a_proc = np.ascontiguousarray(proc, dtype=np.int64)
-                    a_sid = np.ascontiguousarray(sid, dtype=np.int64)
-                    a_floc = np.ascontiguousarray(floc, dtype=np.int64)
-                    order_buf = np.zeros(nb, dtype=np.int64)
-                    fin_buf = np.zeros(nb, dtype=np.int64)
-                    kind_buf = np.zeros(nb, dtype=np.int64)
-                    drop_buf = np.zeros(nb, dtype=np.int64)
-                    queue_buf = np.zeros(nb, dtype=np.int64)
-                    occ_buf = np.zeros(rows_c.size + 1, dtype=np.int64)
-                    out = np.zeros(OUT_SLOTS, dtype=np.int64)
-                fn(
+                order_buf = [0] * nb
+                fin_buf = [0] * nb
+                kind_buf = [0] * nb
+                drop_buf = [0] * nb
+                queue_buf = [0] * nb
+                occ_buf = [0] * (rows_c.size + 1)
+                out = [0] * OUT_SLOTS
+                simulate_core(
                     c, n_rows, n_pre_c, hb, busy_fin,
-                    a_arr, a_proc, a_sid, a_floc,
+                    arr_t.tolist(), proc.tolist(), sid.tolist(), floc.tolist(),
                     flow_last, migrated,
                     last_service[c], guard_val, cap, fm_pen, cc_pen, t_h,
                     order_buf, fin_buf, kind_buf, drop_buf, queue_buf,
@@ -342,7 +512,7 @@ class SpanDriver:
                 )
                 per_core.append(
                     (rows_c, lrow, order_buf, fin_buf, kind_buf,
-                     drop_buf, queue_buf, occ_buf, [int(v) for v in out])
+                     drop_buf, queue_buf, occ_buf, out)
                 )
             return t_h, flow_last, migrated, per_core
 
@@ -596,10 +766,7 @@ class SpanDriver:
         mig = np.asarray(migrated, dtype=bool)
         if mig.any():
             st.flow_migrated[uniq[mig]] = True
-        final_last = (
-            flow_last if lists else flow_last.tolist()
-        )
-        for f, c in zip(uniq_list, final_last):
+        for f, c in zip(uniq_list, flow_last):
             flow_last_core[f] = c
 
         # -- core / queue / event state --------------------------------

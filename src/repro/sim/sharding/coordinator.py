@@ -189,7 +189,6 @@ def run_sharded(
     window_ns: int | None = None,
     schedule: FaultSchedule | None = None,
     drain_policy: str = "drop",
-    engine: str | None = None,
     vectorized: bool = True,
     source_fingerprint: str | None = None,
 ) -> ShardedRun:
@@ -311,7 +310,6 @@ def run_sharded(
                 scheduler=sched_k,
                 platform_schedule=platform_schedule,
                 drain_policy=drain_policy,
-                engine=engine,
                 vectorized=vectorized,
             )
         )

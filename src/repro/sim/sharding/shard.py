@@ -39,7 +39,6 @@ class ShardSpec:
     scheduler: object
     platform_schedule: FaultSchedule | None = None
     drain_policy: str = "drop"
-    engine: str | None = None
     vectorized: bool = True
 
 
@@ -74,7 +73,6 @@ class Shard:
             spec.scheduler,
             spec.source,
             vectorized=spec.vectorized,
-            engine=spec.engine,
         )
         if spec.platform_schedule is not None and len(spec.platform_schedule):
             self.kernel.attach_injector(

@@ -64,11 +64,8 @@ class NetworkProcessorSim:
         injector=None,
         *,
         vectorized: bool = True,
-        engine: str | None = None,
     ) -> None:
-        self.kernel = SimKernel(
-            config, scheduler, workload, vectorized=vectorized, engine=engine
-        )
+        self.kernel = SimKernel(config, scheduler, workload, vectorized=vectorized)
         self.config = config
         self.scheduler = scheduler
         self.workload = workload
@@ -117,7 +114,6 @@ def simulate(
     injector=None,
     *,
     vectorized: bool = True,
-    engine: str | None = None,
     shards: int | None = None,
     shard_workers: int = 0,
     shard_window_ns: int | None = None,
@@ -126,12 +122,10 @@ def simulate(
     materialized :class:`Workload` or a streaming
     :class:`~repro.sim.source.PacketSource`).
 
-    ``vectorized=False`` forces the per-packet scalar scheduling path;
-    the report is bit-identical either way (the equivalence suite pins
-    this), so the flag only matters for benchmarking both paths.
-    *engine* picks the event core (see
-    :func:`repro.sim.engine.resolve_engine`); reports are bit-identical
-    across engines too — the engines trade speed, never outcomes.
+    ``vectorized=False`` forces the per-packet scalar path (no column
+    plan, no span drain); the report is bit-identical either way (the
+    equivalence suite pins this), so the flag only matters for testing
+    and benchmarking both paths.
 
     ``shards`` ≥ 2 delegates to :func:`repro.sim.sharding.run_sharded`:
     the system is partitioned and run over ``shard_workers`` processes
@@ -164,10 +158,9 @@ def simulate(
             workload, scheduler, config,
             shards=shards, workers=shard_workers,
             window_ns=shard_window_ns, schedule=schedule,
-            drain_policy=drain_policy, engine=engine,
-            vectorized=vectorized,
+            drain_policy=drain_policy, vectorized=vectorized,
         ).report
     return NetworkProcessorSim(
         config or SimConfig(), scheduler, workload, probe=probe,
-        injector=injector, vectorized=vectorized, engine=engine,
+        injector=injector, vectorized=vectorized,
     ).run()

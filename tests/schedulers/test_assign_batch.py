@@ -289,7 +289,7 @@ class TestLapsPinOverlayCache:
 #: battery; without one ``vectorized=True`` runs the scalar path
 KERNEL_SCHEDULERS = PLANNING_SCHEDULERS
 #: plus the two per-flow rebinders, whose scalar state must still
-#: survive checkpoints and agree across event queues
+#: survive checkpoints and agree with the span drain on and off
 ZOO_SCHEDULERS = [*KERNEL_SCHEDULERS, "flow-director", "flowlet"]
 
 

@@ -1,5 +1,9 @@
 """Tests for the steppable kernel: hook bus, stepping, checkpoint/resume,
-drain-phase edge cases and run-to-run determinism."""
+drain-phase edge cases, run-to-run determinism and release of finished
+runs."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.faults.events import CoreFail, CoreRecover, CoreSlowdown, FaultSchedule
 from repro.faults.injector import FaultInjector
 from repro.net.service import Service, ServiceSet
+from repro.obs.probes import TelemetryProbe
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.hash_static import StaticHashScheduler
 from repro.sim.config import SimConfig
@@ -352,3 +357,34 @@ class TestDeterminism:
             )
 
         assert once() == once()
+
+
+# ----------------------------------------------------------------------
+class TestRelease:
+    @pytest.mark.parametrize("probe_cls", [QueueProbe, TelemetryProbe])
+    def test_finished_kernel_freed_without_cyclic_gc(self, probe_cls):
+        """A finished default kernel — span drain, injector and probe
+        attached — must be freed by reference counting alone: a cycle
+        through any of its helpers keeps the run's workload window and
+        state resident until the cyclic collector happens to run."""
+        wl = trace_workload()
+        last = int(wl.arrival_ns[-1])
+        schedule = FaultSchedule([
+            CoreFail(last // 3, core_id=0),
+            CoreRecover(2 * last // 3, core_id=0),
+        ])
+        gc.collect()
+        gc.disable()
+        try:
+            kernel = SimKernel(small_config(num_cores=8), laps(), wl)
+            assert kernel._span is not None
+            kernel.attach_injector(FaultInjector(schedule))
+            probe = probe_cls(units.us(50))
+            kernel.attach_probe(probe)
+            kernel.run()
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+            assert probe.num_samples > 0  # the probe outlives its run
+        finally:
+            gc.enable()
